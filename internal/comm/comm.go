@@ -115,7 +115,10 @@ func effTag(tag uint32, epoch uint16) uint32 {
 }
 
 // stash holds messages that arrived for a later (or concurrent other-tag)
-// Exchange.
+// Exchange. Every Exchange epoch has its own effective tag, so take drops a
+// key once it empties and zeroes the slot it vacates: otherwise each epoch
+// would keep its last Message, and the receive buffer behind it, reachable
+// for the life of the layer.
 type stash map[uint32][]Message
 
 func (s stash) put(m Message) { s[m.Tag] = append(s[m.Tag], m) }
@@ -126,7 +129,12 @@ func (s stash) take(tag uint32) (Message, bool) {
 		return Message{}, false
 	}
 	m := l[0]
+	if len(l) == 1 {
+		delete(s, tag)
+		return m, true
+	}
 	copy(l, l[1:])
+	l[len(l)-1] = Message{}
 	s[tag] = l[:len(l)-1]
 	return m, true
 }

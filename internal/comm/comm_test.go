@@ -342,4 +342,58 @@ func TestStash(t *testing.T) {
 	if m, _ := s.take(2); m.Peer != 12 {
 		t.Fatal("tag-2 message lost")
 	}
+	if len(s) != 0 {
+		t.Fatalf("drained stash still holds %d keys", len(s))
+	}
+
+	// A vacated slot must not keep its message (and buffer) reachable.
+	for i := 0; i < 3; i++ {
+		s.put(Message{Tag: 3, Peer: i, Data: make([]byte, 8)})
+	}
+	s.take(3)
+	if tail := s[3][:3][2]; tail.Data != nil {
+		t.Fatalf("vacated slot still holds message from %d", tail.Peer)
+	}
+}
+
+// TestLCIStashDrains: every Exchange epoch has its own effective tag, so
+// once its messages are consumed the layer's stash must hold nothing —
+// neither for eager nor for rendezvous payloads, nor on the async path.
+func TestLCIStashDrains(t *testing.T) {
+	const P, rounds = 2, 20
+	layers := asyncLayers(t, P)
+	for r := 0; r < rounds; r++ {
+		size := 64
+		if r%2 == 1 {
+			size = 20000 // beyond the eager limit: rendezvous
+		}
+		var wg sync.WaitGroup
+		for h, l := range layers {
+			wg.Add(1)
+			go func(h int, l *LCILayer) {
+				defer wg.Done()
+				out := make([][]byte, P)
+				out[1-h] = l.AllocBuf(size)
+				expect := []bool{h == 1, h == 0}
+				l.Exchange(4, out, expect, []int{size, size}, func(int, []byte) {})
+			}(h, l)
+		}
+		wg.Wait()
+	}
+	for h, l := range layers {
+		if len(l.stash) != 0 {
+			t.Fatalf("host %d: stash holds %d keys after %d exchanges", h, len(l.stash), rounds)
+		}
+	}
+
+	const tag = 250
+	for i := 0; i < rounds; i++ {
+		layers[0].PostTag(1, tag, layers[0].AllocBuf(8))
+		m := recvTagWait(t, layers[1], tag)
+		m.Release()
+		layers[1].RecvTag(tag) // an empty poll must not leave a key behind
+	}
+	if n := len(layers[1].stash); n != 0 {
+		t.Fatalf("stash holds %d keys after %d async receives", n, rounds)
+	}
 }

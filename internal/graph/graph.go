@@ -68,22 +68,27 @@ func FromEdges(n int, edges []Edge) *Graph {
 			g.Weights[p] = e.W
 		}
 	}
+	// Scratch for the weighted permutation, reused across vertices.
+	var idx []int
+	var se, sw []uint32
 	for v := 0; v < n; v++ {
 		lo, hi := g.Offsets[v], g.Offsets[v+1]
+		if hi-lo < 2 {
+			continue
+		}
 		if g.Weights == nil {
 			s := g.Edges[lo:hi]
 			sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 		} else {
 			es, ws := g.Edges[lo:hi], g.Weights[lo:hi]
-			idx := make([]int, len(es))
-			for i := range idx {
-				idx[i] = i
+			idx = idx[:0]
+			for i := range es {
+				idx = append(idx, i)
 			}
 			sort.Slice(idx, func(i, j int) bool { return es[idx[i]] < es[idx[j]] })
-			se := make([]uint32, len(es))
-			sw := make([]uint32, len(ws))
-			for i, k := range idx {
-				se[i], sw[i] = es[k], ws[k]
+			se, sw = se[:0], sw[:0]
+			for _, k := range idx {
+				se, sw = append(se, es[k]), append(sw, ws[k])
 			}
 			copy(es, se)
 			copy(ws, sw)

@@ -12,8 +12,22 @@ import (
 // TestBatchIOFallback: with vectored I/O disabled the provider must run the
 // portable one-syscall-per-datagram path — and deliver exactly the same
 // traffic. This is also what every non-Linux build runs unconditionally.
+// The explicit 4-shard case checks that every reader shard honours the
+// knob, whatever the host's CPU count makes the default shard count.
 func TestBatchIOFallback(t *testing.T) {
-	a, b := pair(t, Config{DisableBatchIO: true})
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"default-shards", Config{DisableBatchIO: true}},
+		{"4-shards", Config{DisableBatchIO: true, ReaderShards: 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkBatchIOFallback(t, tc.cfg) })
+	}
+}
+
+func checkBatchIOFallback(t *testing.T, cfg Config) {
+	a, b := pair(t, cfg)
 	if a.BatchIO() || b.BatchIO() {
 		t.Fatal("DisableBatchIO left the vectored path active")
 	}
@@ -32,10 +46,11 @@ func TestBatchIOFallback(t *testing.T) {
 	for got < n {
 		check(pollOne(t, b, 5*time.Second))
 	}
-	st := a.Stats()
-	if st.SendBatches != 0 || st.RecvBatches != 0 {
-		t.Fatalf("fallback path recorded vectored bursts: send=%d recv=%d",
-			st.SendBatches, st.RecvBatches)
+	for _, p := range []*Provider{a, b} {
+		if st := p.Stats(); st.SendBatches != 0 || st.RecvBatches != 0 {
+			t.Fatalf("rank %d: fallback path recorded vectored bursts: send=%d recv=%d",
+				p.Rank(), st.SendBatches, st.RecvBatches)
+		}
 	}
 }
 

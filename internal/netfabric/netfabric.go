@@ -492,8 +492,10 @@ func New(cfg Config) (*Provider, error) {
 			sb.SetReadBuffer(cfg.SockBuf)
 		}
 		s := &readerShard{idx: len(p.shards), conn: c}
-		if m := newReadIO(c); m != nil {
-			s.bio.Store(m)
+		if !cfg.DisableBatchIO { // every shard runs the same tier as shard 0
+			if m := newReadIO(c); m != nil {
+				s.bio.Store(m)
+			}
 		}
 		p.shards = append(p.shards, s)
 	}

@@ -17,6 +17,10 @@ type Metrics struct {
 	MaxMirrors int
 	// EdgeMin/EdgeMax are the smallest and largest per-host edge counts.
 	EdgeMin, EdgeMax int64
+	// EdgeImbalance is EdgeMax over the mean edges per host (1.0 = every
+	// host stores the same number of edges). In a bulk-synchronous round
+	// the host with the most edges sets the pace.
+	EdgeImbalance float64
 	// SyncPairs counts (mirror, master) relationships = values moved per
 	// all-updated reduce round.
 	SyncPairs int64
@@ -25,11 +29,12 @@ type Metrics struct {
 // MeasureMetrics computes partitioning-quality metrics.
 func (pt *Partitioned) MeasureMetrics() Metrics {
 	m := Metrics{Policy: pt.Policy, P: pt.P, EdgeMin: 1 << 62}
-	var proxies int64
+	var proxies, edges int64
 	mirrorCount := make([]int, pt.GlobalN)
 	for _, hg := range pt.Hosts {
 		proxies += int64(hg.NumLocal)
 		e := hg.Local.NumEdges()
+		edges += e
 		if e < m.EdgeMin {
 			m.EdgeMin = e
 		}
@@ -40,6 +45,9 @@ func (pt *Partitioned) MeasureMetrics() Metrics {
 			mirrorCount[hg.L2G[l]]++
 			m.SyncPairs++
 		}
+	}
+	if edges > 0 {
+		m.EdgeImbalance = float64(m.EdgeMax) * float64(pt.P) / float64(edges)
 	}
 	if pt.GlobalN > 0 {
 		m.Replication = float64(proxies) / float64(pt.GlobalN)
@@ -55,7 +63,7 @@ func (pt *Partitioned) MeasureMetrics() Metrics {
 // String renders the metrics as one aligned line.
 func (m Metrics) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-13s P=%-3d repl=%.2f maxMirrors=%-4d edges[min=%d max=%d] syncPairs=%d",
-		m.Policy, m.P, m.Replication, m.MaxMirrors, m.EdgeMin, m.EdgeMax, m.SyncPairs)
+	fmt.Fprintf(&b, "%-13s P=%-3d repl=%.2f maxMirrors=%-4d edges[min=%d max=%d imbalance=%.2f] syncPairs=%d",
+		m.Policy, m.P, m.Replication, m.MaxMirrors, m.EdgeMin, m.EdgeMax, m.EdgeImbalance, m.SyncPairs)
 	return b.String()
 }

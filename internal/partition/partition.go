@@ -9,6 +9,12 @@
 // each host, masters are stored contiguously before mirrors, matching the
 // in-memory layout of §III-A.
 //
+// Every split is into contiguous vertex blocks balanced by the edges they
+// place, since in a bulk-synchronous round the host with the most edges sets
+// the pace. Where an edge follows its source (EdgeCut owners, vertex-cut
+// rows) blocks are balanced by out-degree; where it follows its destination
+// (EdgeCutByDst owners, vertex-cut columns) by in-degree.
+//
 // The package also builds the per-peer synchronization index lists used by
 // the reduce (mirrors→master) and broadcast (master→mirrors) patterns. The
 // lists are constructed in matching order on both sides of every host pair,
@@ -33,12 +39,13 @@ const (
 	// owner.
 	EdgeCut Policy = iota
 	// VertexCut is an Abelian-style Cartesian vertex cut: hosts form an
-	// r×c grid and edge (u,v) goes to host (rowBlock(u), colBlock(v)).
+	// r×c grid and edge (u,v) goes to host (rowBlock(u), colBlock(v)). Row
+	// blocks are balanced by out-degree, column blocks by in-degree.
 	VertexCut
 	// EdgeCutByDst assigns edge (u,v) to owner(v) — the placement Gemini's
 	// sparse (push) mode uses: a host stores the incoming edges of its
 	// owned vertices, and active sources are signalled to the hosts
-	// holding their out-edges.
+	// holding their out-edges. Owner blocks are balanced by in-degree.
 	EdgeCutByDst
 )
 
@@ -123,24 +130,27 @@ type Partitioned struct {
 // Owner returns the owning host of global vertex gid.
 func (pt *Partitioned) Owner(gid uint32) int { return int(pt.owners[gid]) }
 
-// blockStarts divides n vertices into P contiguous blocks balanced by
-// out-degree (Gemini's "tries to balance the assigned edges across hosts").
-func blockStarts(g *graph.Graph, parts int) []uint32 {
-	total := g.NumEdges() + int64(g.N) // +1 per vertex keeps empty tails balanced
+// blockStarts divides g's vertices into parts contiguous blocks balanced by
+// deg(v)+1, where deg is g's out- or in-degree: whichever decides where a
+// vertex's edges go, so each block places about 1/parts of them (Gemini's
+// "tries to balance the assigned edges across hosts").
+func blockStarts(g *graph.Graph, parts int, deg func(v int) int) []uint32 {
+	n := g.N
+	total := g.NumEdges() + int64(n) // +1 per vertex keeps empty tails balanced
 	starts := make([]uint32, parts+1)
-	starts[parts] = uint32(g.N)
+	starts[parts] = uint32(n)
 	target := total / int64(parts)
 	var acc int64
 	b := 1
-	for v := 0; v < g.N && b < parts; v++ {
-		acc += int64(g.Degree(v)) + 1
+	for v := 0; v < n && b < parts; v++ {
+		acc += int64(deg(v)) + 1
 		if acc >= target*int64(b) {
 			starts[b] = uint32(v + 1)
 			b++
 		}
 	}
 	for ; b < parts; b++ {
-		starts[b] = uint32(g.N)
+		starts[b] = uint32(n)
 	}
 	return starts
 }
@@ -177,9 +187,24 @@ func Build(g *graph.Graph, p int, pol Policy) *Partitioned {
 	}
 	pt := &Partitioned{P: p, GlobalN: g.N, Policy: pol, owners: make([]int32, g.N)}
 
-	// Vertex ownership: contiguous degree-balanced blocks under both
-	// policies (CVC also assigns masters by block).
-	vstarts := blockStarts(g, p)
+	// Each split is balanced by the degree that places its edges (see the
+	// package comment). Vertex-cut masters are out-degree blocks: they line
+	// up with the row blocks (up to rounding at block edges), so a vertex's
+	// master sits in its own row and its proxies stay within one row and
+	// one column, at most r+c-1 of them.
+	var inDeg func(v int) int
+	if pol != EdgeCut {
+		in := make([]int32, g.N)
+		for _, d := range g.Edges {
+			in[d]++
+		}
+		inDeg = func(v int) int { return int(in[v]) }
+	}
+	ownerDeg := g.Degree
+	if pol == EdgeCutByDst {
+		ownerDeg = inDeg
+	}
+	vstarts := blockStarts(g, p, ownerDeg)
 	for v := 0; v < g.N; v++ {
 		pt.owners[v] = int32(blockOf(vstarts, uint32(v)))
 	}
@@ -190,8 +215,8 @@ func Build(g *graph.Graph, p int, pol Policy) *Partitioned {
 	var rstarts, cstarts []uint32
 	if pol == VertexCut {
 		rows, cols = grid(p)
-		rstarts = blockStarts(g, rows)
-		cstarts = blockStarts(g, cols)
+		rstarts = blockStarts(g, rows, g.Degree)
+		cstarts = blockStarts(g, cols, inDeg)
 	}
 	for v := 0; v < g.N; v++ {
 		ws := g.NeighborWeights(v)
@@ -241,7 +266,7 @@ func Build(g *graph.Graph, p int, pol Policy) *Partitioned {
 
 	pt.Hosts = make([]*HostGraph, p)
 	for h := 0; h < p; h++ {
-		hg := buildHost(g, pt, h, vstarts, present[h], hostEdges[h])
+		hg := buildHost(g, pt, h, present[h], hostEdges[h])
 		pt.Hosts[h] = hg
 	}
 
@@ -266,7 +291,7 @@ func Build(g *graph.Graph, p int, pol Policy) *Partitioned {
 }
 
 // buildHost assembles one host's local graph and id maps.
-func buildHost(g *graph.Graph, pt *Partitioned, h int, vstarts []uint32,
+func buildHost(g *graph.Graph, pt *Partitioned, h int,
 	present map[uint32]bool, edges []graph.Edge) *HostGraph {
 
 	var masters, mirrors []uint32

@@ -7,7 +7,7 @@ import (
 	"lcigraph/internal/graph"
 )
 
-func policies() []Policy { return []Policy{EdgeCut, VertexCut} }
+func policies() []Policy { return []Policy{EdgeCut, VertexCut, EdgeCutByDst} }
 
 // checkInvariants validates the core partitioning invariants for any graph
 // and host count:
@@ -144,23 +144,43 @@ func TestEdgeCutKeepsSourcesLocal(t *testing.T) {
 	}
 }
 
-func TestEdgeBalance(t *testing.T) {
-	g := graph.Kron(10, 8, 2, 0)
-	for _, pol := range policies() {
-		pt := Build(g, 4, pol)
-		var min, max int64 = 1 << 62, 0
-		for _, hg := range pt.Hosts {
-			e := hg.Local.NumEdges()
-			if e < min {
-				min = e
-			}
-			if e > max {
-				max = e
+func TestEdgeCutByDstKeepsDestinationsLocal(t *testing.T) {
+	g := graph.Web(9, 8, 1, 0)
+	pt := Build(g, 4, EdgeCutByDst)
+	for _, hg := range pt.Hosts {
+		for lv := 0; lv < hg.NumLocal; lv++ {
+			for _, ld := range hg.Local.Neighbors(lv) {
+				if !hg.IsMaster(ld) {
+					t.Fatalf("edge-cut-dst: edge %d→%d on host %d ends at a mirror",
+						hg.L2G[lv], hg.L2G[ld], hg.Host)
+				}
 			}
 		}
-		// Power-law graphs cannot balance perfectly; allow generous slack.
-		if max > 8*(min+1) {
-			t.Errorf("%v: edge imbalance min=%d max=%d", pol, min, max)
+	}
+	if EdgeCutByDst.NeedsBroadcast() {
+		t.Fatal("edge-cut-dst must not need broadcast for push operators")
+	}
+}
+
+// TestEdgeBalance: every policy spreads the edges evenly enough that no
+// host stores more than 1.5× the mean. The directed inputs matter: on them
+// in-degree and out-degree differ, so a split balanced by the wrong degree
+// shows here (on symmetric Kron the two coincide).
+func TestEdgeBalance(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"kron": graph.Kron(10, 8, 2, 0),
+		"web":  graph.Web(12, 16, 1, 0),
+		"rmat": graph.RMAT(12, 8, 1, 0),
+	}
+	for name, g := range graphs {
+		for _, p := range []int{2, 4} {
+			for _, pol := range policies() {
+				m := Build(g, p, pol).MeasureMetrics()
+				if m.EdgeImbalance > 1.5 {
+					t.Errorf("%s/%v/P=%d: max edges per host %.2f× the mean (min=%d max=%d)",
+						name, pol, p, m.EdgeImbalance, m.EdgeMin, m.EdgeMax)
+				}
+			}
 		}
 	}
 }
@@ -222,6 +242,9 @@ func TestMetrics(t *testing.T) {
 		}
 		if m.EdgeMin > m.EdgeMax {
 			t.Fatalf("edge bounds inverted: %+v", m)
+		}
+		if m.EdgeImbalance < 1.0 || m.EdgeImbalance > float64(m.P) {
+			t.Fatalf("edge imbalance %f outside [1, P]", m.EdgeImbalance)
 		}
 		var total int64
 		for _, hg := range pt.Hosts {
