@@ -51,48 +51,60 @@ func MicroLatency(iface string, size, iters int, prof fabric.Profile, impl mpi.I
 	panic("bench: unknown iface " + iface)
 }
 
+// lciPingPong drives each endpoint's progress from the one goroutine that
+// uses it, polling Progress while it waits, instead of running a Serve
+// goroutine per host. The MPI arms progress the same way (inside their
+// blocking calls), so all three arms run two busy goroutines and compare
+// per-message software cost. With a Serve goroutine per host the queue arm
+// would run four on a machine that simulates both hosts, and on two cores
+// its latency would measure oversubscription instead.
 func lciPingPong(size, iters int, prof fabric.Profile) time.Duration {
 	fab := fabric.New(2, prof)
 	a := lci.NewEndpoint(fab.Endpoint(0), lci.Options{})
 	b := lci.NewEndpoint(fab.Endpoint(1), lci.Options{})
-	stop := make(chan struct{})
-	defer close(stop)
-	go a.Serve(stop)
-	go b.Serve(stop)
 	wa, wb := a.Pool().RegisterWorker(), b.Pool().RegisterWorker()
 
 	buf := make([]byte, size)
-	recvOne := func(e *lci.Endpoint) {
+	progress := func(e *lci.Endpoint) func() {
+		return func() {
+			if !e.Progress() {
+				runtime.Gosched()
+			}
+		}
+	}
+	recvOne := func(e *lci.Endpoint, relax func()) {
 		for {
 			if r, ok := e.RecvDeq(); ok {
-				r.Wait(nil)
+				r.Wait(relax)
 				r.Release() // recycle the pooled wire frame
 				return
 			}
-			runtime.Gosched()
+			relax()
 		}
 	}
-	send := func(e *lci.Endpoint, w, dst int) {
+	send := func(e *lci.Endpoint, w, dst int, relax func()) {
 		for {
 			if r, ok := e.SendEnq(w, dst, 0, buf); ok {
-				r.Wait(nil)
+				r.Wait(relax)
 				return
 			}
-			runtime.Gosched()
+			relax()
 		}
 	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
+		relax := progress(b)
 		for i := 0; i < iters; i++ {
-			recvOne(b)
-			send(b, wb, 0)
+			recvOne(b, relax)
+			send(b, wb, 0, relax)
 		}
 	}()
+	relax := progress(a)
 	start := time.Now()
 	for i := 0; i < iters; i++ {
-		send(a, wa, 1)
-		recvOne(a)
+		send(a, wa, 1, relax)
+		recvOne(a, relax)
 	}
 	el := time.Since(start)
 	<-done
